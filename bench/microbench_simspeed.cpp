@@ -41,25 +41,6 @@ BM_TickThroughput(benchmark::State &state)
     state.counters["IPC"] = sim.stats().ipc();
 }
 
-/** The same machine through the virtual-dispatch engine: the spread
- *  against BM_TickThroughput is the devirtualization win. */
-void
-BM_TickThroughputGeneric(benchmark::State &state)
-{
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    smt::SmtConfig cfg = smt::presets::icount28(threads);
-    smt::Simulator sim(cfg, smt::mixForRun(threads, 0), /*seed_salt=*/0,
-                       smt::CoreDispatch::ForceGeneric);
-    sim.run(2000);
-    for (auto _ : state) {
-        sim.run(1000);
-        benchmark::DoNotOptimize(sim.stats().committedInstructions);
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) * 1000);
-    state.counters["IPC"] = sim.stats().ipc();
-}
-
 /** RR.1.8 base machine (round-robin fetch, Section 4). */
 void
 BM_TickThroughputRr(benchmark::State &state)
@@ -95,8 +76,6 @@ BM_ProgramGeneration(benchmark::State &state)
 } // namespace
 
 BENCHMARK(BM_TickThroughput)->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TickThroughputGeneric)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TickThroughputRr)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);

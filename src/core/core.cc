@@ -1,29 +1,46 @@
 #include "core/core.hh"
 
+#include <chrono>
 #include <cstdio>
 
 #include "common/logging.hh"
+#include "obs/pipe_trace.hh"
 #include "policy/registry.hh"
 
 namespace smt
 {
 
+const char *
+StageTimes::stageName(unsigned stage)
+{
+    switch (stage) {
+      case Squash:
+        return "squash";
+      case Commit:
+        return "commit";
+      case Execute:
+        return "execute";
+      case Issue:
+        return "issue";
+      case Rename:
+        return "rename";
+      case Decode:
+        return "decode";
+      case Fetch:
+        return "fetch";
+      default:
+        return "?";
+    }
+}
+
 SmtCore::SmtCore(const SmtConfig &cfg, MemoryHierarchy &mem,
                  BranchPredictor &bp, std::vector<ThreadProgram *> programs,
-                 SimStats &stats, CoreDispatch dispatch)
-    : state_(cfg, mem, bp, stats)
+                 SimStats &stats)
+    : state_(cfg, mem, bp, stats), fetchPolicy_(policy::makeFetchPolicy(cfg)),
+      issuePolicy_(policy::makeIssuePolicy(cfg)), squash_(state_),
+      commit_(state_), execute_(state_), issue_(state_, *issuePolicy_),
+      rename_(state_), decode_(state_), fetch_(state_, *fetchPolicy_)
 {
-    if (dispatch == CoreDispatch::Auto) {
-        const policy::CoreEngineFactory *make =
-            policy::PolicyRegistry::instance().findCoreEngine(
-                cfg.resolvedFetchPolicyName(),
-                cfg.resolvedIssuePolicyName());
-        if (make != nullptr)
-            engine_ = (*make)(state_);
-    }
-    if (!engine_)
-        engine_ = makeGenericEngine(state_, cfg);
-
     smt_assert(programs.size() == cfg.numThreads,
                "need one program per hardware context (%zu vs %u)",
                programs.size(), cfg.numThreads);
@@ -31,6 +48,61 @@ SmtCore::SmtCore(const SmtConfig &cfg, MemoryHierarchy &mem,
         state_.threads[t].program = programs[t];
         state_.threads[t].fetchPc = programs[t]->entryPc();
     }
+}
+
+void
+SmtCore::tick()
+{
+    squash_.tick();
+    commit_.tick();
+    execute_.tick();
+    issue_.tick();
+    rename_.tick();
+    decode_.tick();
+    fetch_.tick();
+    endCycle();
+}
+
+namespace
+{
+
+template <typename StageT>
+void
+timed(std::uint64_t &ns, StageT &stage)
+{
+    const auto t0 = std::chrono::steady_clock::now();
+    stage.tick();
+    const auto t1 = std::chrono::steady_clock::now();
+    ns += static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+            .count());
+}
+
+} // namespace
+
+void
+SmtCore::tickTimed(StageTimes &out)
+{
+    timed(out.ns[StageTimes::Squash], squash_);
+    timed(out.ns[StageTimes::Commit], commit_);
+    timed(out.ns[StageTimes::Execute], execute_);
+    timed(out.ns[StageTimes::Issue], issue_);
+    timed(out.ns[StageTimes::Rename], rename_);
+    timed(out.ns[StageTimes::Decode], decode_);
+    timed(out.ns[StageTimes::Fetch], fetch_);
+    endCycle();
+}
+
+void
+SmtCore::endCycle()
+{
+    // Pipetrace sample channel: after the walk, with `cycle` still
+    // naming the tick the stages just executed.
+    if (obs::PipeTrace *pipe = state_.pipe)
+        pipe->endCycle(state_);
+    state_.sampleOccupancy();
+    ++state_.cycle;
+    ++state_.stats.cycles;
 }
 
 // --------------------------------------------------------------------------

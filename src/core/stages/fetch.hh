@@ -4,13 +4,8 @@
  * FetchPolicy) and instruction fetch from the selected threads'
  * code images (Sections 4 and 5).
  *
- * The stage is a template over the policy type. Instantiated with the
- * abstract policy::FetchPolicy, every priorityKey()/beginCycle() call
- * dispatches virtually (the plugin-policy fallback); instantiated with
- * a concrete `final` policy class, the calls resolve statically and
- * inline into the selection loop (the specialized paper-policy cores
- * built by the PolicyRegistry dispatch table). Both instantiations run
- * the same statements, so they are cycle-identical by construction.
+ * The stage calls the policy through the abstract interface: one
+ * beginCycle() per cycle and one priorityKey() per fetchable thread.
  */
 
 #ifndef SMT_CORE_STAGES_FETCH_HH
@@ -70,13 +65,14 @@ sortFetchCandidates(FetchCandidate *cands, unsigned n)
     }
 }
 
-/** Fetch stage. `Policy` is policy::FetchPolicy (virtual dispatch) or a
- *  concrete final policy class (static dispatch). */
-template <typename Policy>
+/** Fetch stage. */
 class FetchStage
 {
   public:
-    FetchStage(PipelineState &st, Policy &pol) : st_(st), policy_(pol) {}
+    FetchStage(PipelineState &st, policy::FetchPolicy &pol)
+        : st_(st), policy_(pol)
+    {
+    }
 
     void tick();
 
@@ -87,7 +83,7 @@ class FetchStage
     DynInst *buildInst(ThreadState &ts, ThreadID tid, Addr pc);
 
     PipelineState &st_;
-    Policy &policy_;
+    policy::FetchPolicy &policy_;
 
     // Per-cycle scratch, sized to the machine maximum so the fetch
     // walk never touches the heap.
@@ -96,9 +92,6 @@ class FetchStage
     std::array<unsigned, kMaxThreads> banks_;
     std::array<FetchOutcome, kMaxThreads> outcome_;
 };
-
-// The template is instantiated explicitly in fetch.cc for the abstract
-// policy and each registered paper policy.
 
 } // namespace smt
 

@@ -1,9 +1,9 @@
 #include "obs/trace_analysis.hh"
 
 #include "obs/chrome_trace.hh"
+#include "obs/percentile.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -83,19 +83,6 @@ classifyLine(const std::string &line, std::vector<TraceEvent> &events,
         return true;
     }
     return false;
-}
-
-/** Inclusive percentile of an ascending-sorted sample. */
-double
-percentile(const std::vector<double> &sorted, double p)
-{
-    if (sorted.empty())
-        return 0.0;
-    const double rank = std::ceil(p / 100.0 * sorted.size());
-    std::size_t idx = rank <= 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
-    if (idx >= sorted.size())
-        idx = sorted.size() - 1;
-    return sorted[idx];
 }
 
 /** The trace id to analyze: the requested one, else the id with the

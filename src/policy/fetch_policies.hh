@@ -3,12 +3,10 @@
  * The concrete fetch policies of Section 5.2 (plus the hybrid
  * ICOUNT+MISSCOUNT).
  *
- * These classes live in a header — not hidden behind the registry —
- * so the specialized core engines can instantiate the fetch stage
- * directly over a concrete `final` policy type and the compiler can
- * devirtualize and inline priorityKey() into the selection loop. The
- * PolicyRegistry still registers each of them by name for the generic
- * virtual-dispatch path and for enumeration.
+ * The PolicyRegistry registers each of them by name (fetch_policy.cc);
+ * the core reaches them only through that registry and the abstract
+ * FetchPolicy interface. They are header-visible so a plugin can wrap
+ * a builtin and tests can build one directly.
  */
 
 #ifndef SMT_POLICY_FETCH_POLICIES_HH

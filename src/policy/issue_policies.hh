@@ -2,11 +2,9 @@
  * @file
  * The concrete issue policies of Section 6.
  *
- * Header-visible (like fetch_policies.hh) so the specialized core
- * engines can instantiate the issue stage over a concrete `final`
- * policy type: order() then resolves statically and its comparison
- * lambda inlines into the sort. The PolicyRegistry registers each by
- * name for the generic virtual-dispatch path.
+ * The PolicyRegistry registers each of them by name (issue_policy.cc);
+ * the core reaches them only through that registry and the abstract
+ * IssuePolicy interface. Header-visible like fetch_policies.hh.
  */
 
 #ifndef SMT_POLICY_ISSUE_POLICIES_HH

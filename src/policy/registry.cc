@@ -4,7 +4,6 @@
 
 #include "common/logging.hh"
 #include "config/config.hh"
-#include "core/engine.hh"
 
 namespace smt::policy
 {
@@ -25,9 +24,6 @@ PolicyRegistry::PolicyRegistry()
 {
     registerBuiltinFetchPolicies(*this);
     registerBuiltinIssuePolicies(*this);
-    // After the policies: registering a policy name evicts engines
-    // specialized on it, so order matters here.
-    registerBuiltinCoreEngines(*this);
 }
 
 PolicyRegistry &
@@ -41,12 +37,6 @@ void
 PolicyRegistry::registerFetchPolicy(std::string name,
                                     FetchPolicyFactory make)
 {
-    // A specialized engine bakes in the *old* policy's code; once the
-    // name means something else, those pairs must take the generic
-    // path.
-    std::erase_if(engines_, [&](const EngineEntry &e) {
-        return e.fetchName == name;
-    });
     auto it = findEntry(fetch_, name);
     if (it != fetch_.end())
         it->second = std::move(make);
@@ -58,51 +48,11 @@ void
 PolicyRegistry::registerIssuePolicy(std::string name,
                                     IssuePolicyFactory make)
 {
-    std::erase_if(engines_, [&](const EngineEntry &e) {
-        return e.issueName == name;
-    });
     auto it = findEntry(issue_, name);
     if (it != issue_.end())
         it->second = std::move(make);
     else
         issue_.emplace_back(std::move(name), std::move(make));
-}
-
-void
-PolicyRegistry::registerCoreEngine(std::string fetchName,
-                                   std::string issueName,
-                                   CoreEngineFactory make)
-{
-    for (EngineEntry &e : engines_) {
-        if (e.fetchName == fetchName && e.issueName == issueName) {
-            e.make = std::move(make);
-            return;
-        }
-    }
-    engines_.push_back(EngineEntry{std::move(fetchName),
-                                   std::move(issueName),
-                                   std::move(make)});
-}
-
-const CoreEngineFactory *
-PolicyRegistry::findCoreEngine(const std::string &fetchName,
-                               const std::string &issueName) const
-{
-    for (const EngineEntry &e : engines_) {
-        if (e.fetchName == fetchName && e.issueName == issueName)
-            return &e.make;
-    }
-    return nullptr;
-}
-
-std::vector<std::pair<std::string, std::string>>
-PolicyRegistry::coreEngineNames() const
-{
-    std::vector<std::pair<std::string, std::string>> names;
-    names.reserve(engines_.size());
-    for (const EngineEntry &e : engines_)
-        names.emplace_back(e.fetchName, e.issueName);
-    return names;
 }
 
 bool

@@ -17,16 +17,8 @@
  *   cfg.fetchPolicyName = "MYPOLICY";
  *
  * The paper's policies are pre-registered by the registerBuiltin*
- * hooks the first time instance() is called.
- *
- * The registry also carries the *core engine dispatch table*: for
- * (fetch, issue) name pairs it knows, it hands SmtCore a factory for a
- * devirtualized CoreEngine instantiated over the concrete policy
- * classes (see core/engine.hh). Re-registering either policy name
- * drops the pair's specialized entry — a plugin that replaces a
- * builtin policy's behaviour must not keep running the builtin's
- * specialized code — and those configs fall back to the generic
- * virtual-dispatch engine.
+ * hooks the first time instance() is called. Re-registering a builtin
+ * name replaces it for every core built afterwards.
  */
 
 #ifndef SMT_POLICY_REGISTRY_HH
@@ -45,16 +37,12 @@ namespace smt
 {
 
 struct SmtConfig;
-struct PipelineState;
-class CoreEngine;
 
 namespace policy
 {
 
 using FetchPolicyFactory = std::function<std::unique_ptr<FetchPolicy>()>;
 using IssuePolicyFactory = std::function<std::unique_ptr<IssuePolicy>()>;
-using CoreEngineFactory =
-    std::function<std::unique_ptr<CoreEngine>(PipelineState &)>;
 
 /** Process-wide policy name registry (builtins pre-installed). */
 class PolicyRegistry
@@ -79,36 +67,11 @@ class PolicyRegistry
     std::vector<std::string> fetchPolicyNames() const;
     std::vector<std::string> issuePolicyNames() const;
 
-    /**
-     * Register a specialized core engine for a (fetch, issue) policy
-     * name pair. Later registrations of either *policy* name evict the
-     * entry (the specialization would no longer match the policy's
-     * behaviour).
-     */
-    void registerCoreEngine(std::string fetchName, std::string issueName,
-                            CoreEngineFactory make);
-
-    /** The specialized-engine factory for a pair, or nullptr. */
-    const CoreEngineFactory *findCoreEngine(
-        const std::string &fetchName, const std::string &issueName) const;
-
-    /** Registered (fetch, issue) pairs with specialized engines. */
-    std::vector<std::pair<std::string, std::string>>
-    coreEngineNames() const;
-
   private:
     PolicyRegistry();
 
-    struct EngineEntry
-    {
-        std::string fetchName;
-        std::string issueName;
-        CoreEngineFactory make;
-    };
-
     std::vector<std::pair<std::string, FetchPolicyFactory>> fetch_;
     std::vector<std::pair<std::string, IssuePolicyFactory>> issue_;
-    std::vector<EngineEntry> engines_;
 };
 
 /** Resolve the policies a config names (enum or override string). */

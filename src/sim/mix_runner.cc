@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "sim/simulator.hh"
 #include "sweep/thread_pool.hh"
 #include "workload/mix.hh"
@@ -56,17 +57,14 @@ defaultMeasureOptions()
 {
     MeasureOptions opts;
     if (const char *env = std::getenv("SMTSIM_CYCLES"); env != nullptr)
-        opts.cyclesPerRun = std::strtoull(env, nullptr, 10);
+        opts.cyclesPerRun =
+            parseCountOrExit("SMTSIM_CYCLES", env, 1, kMaxCycleCount);
     if (const char *env = std::getenv("SMTSIM_WARMUP"); env != nullptr)
-        opts.warmupCycles = std::strtoull(env, nullptr, 10);
-    if (const char *env = std::getenv("SMTSIM_RUNS"); env != nullptr) {
-        const unsigned runs =
-            static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        if (runs >= 1)
-            opts.runs = runs;
-        else
-            smt_warn("ignoring SMTSIM_RUNS=%s", env);
-    }
+        opts.warmupCycles =
+            parseCountOrExit("SMTSIM_WARMUP", env, 0, kMaxCycleCount);
+    if (const char *env = std::getenv("SMTSIM_RUNS"); env != nullptr)
+        opts.runs = static_cast<unsigned>(
+            parseCountOrExit("SMTSIM_RUNS", env, 1, kMaxRunCount));
     if (std::getenv("SMTSIM_SERIAL") != nullptr)
         opts.parallel = false;
     return opts;

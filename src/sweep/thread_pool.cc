@@ -3,6 +3,7 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace smt::sweep
 {
@@ -18,13 +19,9 @@ unsigned
 defaultWorkerCount()
 {
     if (const char *env = std::getenv("SMTSIM_POOL_WORKERS");
-        env != nullptr) {
-        const unsigned n = static_cast<unsigned>(std::strtoul(env, nullptr,
-                                                              10));
-        if (n >= 1)
-            return n;
-        smt_warn("ignoring SMTSIM_POOL_WORKERS=%s", env);
-    }
+        env != nullptr)
+        return static_cast<unsigned>(parseCountOrExit(
+            "SMTSIM_POOL_WORKERS", env, 1, kMaxThreadCount));
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 2;
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common utilities: RNG, saturating counter,
- * histogram, the mixing hash, and the x-smt-lz transfer codec.
+ * histogram, the mixing hash, the x-smt-lz transfer codec, and the
+ * strict count parser.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "common/histogram.hh"
 #include "common/lz.hh"
+#include "common/parse.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 
@@ -271,6 +273,56 @@ TEST(Lz, MalformedStreamsDecodeToNothing)
             EXPECT_NE(*out, input);
         }
     }
+}
+
+// ---- Strict count parser ----------------------------------------------------
+
+TEST(ParseCount, AcceptsDigitsInsideTheRange)
+{
+    EXPECT_EQ(parseCount("1", 1, kMaxThreadCount), 1u);
+    EXPECT_EQ(parseCount("256", 1, kMaxThreadCount), 256u);
+    EXPECT_EQ(parseCount("0", 0, kMaxCycleCount), 0u);
+    EXPECT_EQ(parseCount("40000", 1, kMaxCycleCount), 40000u);
+    EXPECT_EQ(parseCount("007", 1, 10), 7u);
+}
+
+TEST(ParseCount, RejectsASign)
+{
+    // strtoul would wrap "-1" to ULONG_MAX.
+    EXPECT_EQ(parseCount("-1", 0, kMaxCycleCount), std::nullopt);
+    EXPECT_EQ(parseCount("-1", 1, kMaxThreadCount), std::nullopt);
+    EXPECT_EQ(parseCount("+4", 1, kMaxThreadCount), std::nullopt);
+}
+
+TEST(ParseCount, RejectsEmptyAndNonDigitText)
+{
+    EXPECT_EQ(parseCount("", 0, kMaxCycleCount), std::nullopt);
+    EXPECT_EQ(parseCount("5x", 1, kMaxRunCount), std::nullopt);
+    EXPECT_EQ(parseCount("abc", 0, kMaxCycleCount), std::nullopt);
+    EXPECT_EQ(parseCount(" 5", 1, kMaxRunCount), std::nullopt);
+    EXPECT_EQ(parseCount("5 ", 1, kMaxRunCount), std::nullopt);
+    EXPECT_EQ(parseCount("1e3", 1, kMaxCycleCount), std::nullopt);
+}
+
+TEST(ParseCount, RejectsZeroBelowAPositiveRange)
+{
+    EXPECT_EQ(parseCount("0", 1, kMaxThreadCount), std::nullopt);
+    EXPECT_EQ(parseCount("0", 1, kMaxRunCount), std::nullopt);
+}
+
+TEST(ParseCount, RejectsValuesOverTheRange)
+{
+    EXPECT_EQ(parseCount("257", 1, kMaxThreadCount), std::nullopt);
+    EXPECT_EQ(parseCount("1001", 1, kMaxRunCount), std::nullopt);
+    EXPECT_EQ(parseCount("1000000000001", 0, kMaxCycleCount),
+              std::nullopt);
+    // Past 64 bits: must not wrap back into range.
+    EXPECT_EQ(parseCount("18446744073709551616", 0, kMaxCycleCount),
+              std::nullopt);
+    EXPECT_EQ(parseCount("18446744073709551617", 0, kMaxThreadCount),
+              std::nullopt);
+    EXPECT_EQ(parseCount("18446744073709551615", 0, UINT64_MAX),
+              UINT64_MAX);
 }
 
 } // namespace

@@ -1,24 +1,16 @@
 /**
  * @file
- * Core-engine dispatch tests: the specialized (devirtualized-policy)
- * engines must be cycle-identical to the generic virtual-dispatch
- * engine for every registered policy pair, the registry dispatch table
- * must fall back to generic when a policy name is re-registered
- * (plugin safety), the fetch candidate insertion sort must match
+ * Core hot-path tests: the fetch candidate insertion sort must match
  * std::sort's strict-total-order result, and the steady-state hot path
- * must not allocate (instruction pool and oracle ring audits).
+ * must not allocate (instruction pool audits).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
-#include <string>
-#include <vector>
 
 #include "core/stages/fetch.hh"
-#include "policy/fetch_policies.hh"
-#include "policy/registry.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -26,127 +18,6 @@ namespace smt
 {
 namespace
 {
-
-// ---- Specialized vs generic: cycle identity --------------------------------
-
-struct PolicyPair
-{
-    const char *fetch;
-    const char *issue;
-};
-
-/** Every (fetch, issue) pair the paper registers an engine for. */
-constexpr PolicyPair kRegisteredPairs[] = {
-    {"RR", "OLDEST_FIRST"},
-    {"BRCOUNT", "OLDEST_FIRST"},
-    {"MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OLDEST_FIRST"},
-    {"IQPOSN", "OLDEST_FIRST"},
-    {"ICOUNT+MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OPT_LAST"},
-    {"ICOUNT", "SPEC_LAST"},
-    {"ICOUNT", "BRANCH_FIRST"},
-};
-
-/** The stat fields a single divergent cycle anywhere would disturb. */
-struct StatKey
-{
-    std::uint64_t cycles, committed, fetched, fetchedWrongPath, issued,
-        issuedWrongPath, optimisticSquashes, mispredicts, dcacheMisses;
-
-    static StatKey
-    of(const SimStats &s)
-    {
-        return {s.cycles,
-                s.committedInstructions,
-                s.fetchedInstructions,
-                s.fetchedWrongPath,
-                s.issuedInstructions,
-                s.issuedWrongPath,
-                s.optimisticSquashes,
-                s.condBranchMispredicts,
-                s.dcache.misses};
-    }
-
-    bool
-    operator==(const StatKey &o) const
-    {
-        return cycles == o.cycles && committed == o.committed &&
-               fetched == o.fetched &&
-               fetchedWrongPath == o.fetchedWrongPath &&
-               issued == o.issued &&
-               issuedWrongPath == o.issuedWrongPath &&
-               optimisticSquashes == o.optimisticSquashes &&
-               mispredicts == o.mispredicts &&
-               dcacheMisses == o.dcacheMisses;
-    }
-};
-
-TEST(EngineMatrix, SpecializedIsCycleIdenticalToGenericForAllPairs)
-{
-    for (const PolicyPair &pair : kRegisteredPairs) {
-        SmtConfig cfg = presets::baseSmt(4);
-        cfg.fetchPolicyName = pair.fetch;
-        cfg.issuePolicyName = pair.issue;
-
-        Simulator spec(cfg, mixForRun(4, 0), 0, CoreDispatch::Auto);
-        Simulator gen(cfg, mixForRun(4, 0), 0,
-                      CoreDispatch::ForceGeneric);
-
-        EXPECT_STREQ(spec.core().engineKind(), "specialized")
-            << pair.fetch << "." << pair.issue;
-        EXPECT_STREQ(gen.core().engineKind(), "generic")
-            << pair.fetch << "." << pair.issue;
-
-        spec.run(6000);
-        gen.run(6000);
-        EXPECT_TRUE(StatKey::of(spec.stats()) == StatKey::of(gen.stats()))
-            << "stats diverged for " << pair.fetch << "." << pair.issue;
-        spec.core().validateInvariants();
-        gen.core().validateInvariants();
-    }
-}
-
-TEST(EngineMatrix, RegistryListsEveryRegisteredPair)
-{
-    const auto names =
-        policy::PolicyRegistry::instance().coreEngineNames();
-    for (const PolicyPair &pair : kRegisteredPairs) {
-        const bool found =
-            std::any_of(names.begin(), names.end(), [&](const auto &e) {
-                return e.first == pair.fetch && e.second == pair.issue;
-            });
-        EXPECT_TRUE(found) << pair.fetch << "." << pair.issue;
-        EXPECT_NE(policy::PolicyRegistry::instance().findCoreEngine(
-                      pair.fetch, pair.issue),
-                  nullptr);
-    }
-}
-
-// ---- Plugin safety: re-registration evicts the specialization ---------------
-
-TEST(EngineDispatch, ReRegisteringAPolicyNameFallsBackToGeneric)
-{
-    auto &reg = policy::PolicyRegistry::instance();
-
-    // A "plugin" replaces ICOUNT's behaviour. Keeping the specialized
-    // engines would silently run the builtin's baked-in code instead.
-    reg.registerFetchPolicy("ICOUNT", [] {
-        return std::make_unique<policy::ICountPolicy>();
-    });
-    EXPECT_EQ(reg.findCoreEngine("ICOUNT", "OLDEST_FIRST"), nullptr);
-    EXPECT_NE(reg.findCoreEngine("RR", "OLDEST_FIRST"), nullptr);
-
-    SmtConfig cfg = presets::icount28(2);
-    Simulator sim(cfg, mixForRun(2, 0));
-    EXPECT_STREQ(sim.core().engineKind(), "generic");
-
-    // Restore the builtin dispatch table for the rest of the process.
-    registerBuiltinCoreEngines(reg);
-    EXPECT_NE(reg.findCoreEngine("ICOUNT", "OLDEST_FIRST"), nullptr);
-    Simulator again(cfg, mixForRun(2, 0));
-    EXPECT_STREQ(again.core().engineKind(), "specialized");
-}
 
 // ---- Fetch candidate ordering ----------------------------------------------
 

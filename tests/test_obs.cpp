@@ -2,8 +2,9 @@
  * @file
  * Tests for the observability layer: the metrics registry (atomic
  * counters under contention, histogram bucket-edge placement, JSON
- * snapshot round-trip) and the JSONL trace writer (well-formed lines,
- * stable trace id, environment inheritance for worker processes).
+ * snapshot round-trip), the JSONL trace writer (well-formed lines,
+ * stable trace id, environment inheritance for worker processes), and
+ * the shared nearest-rank percentile's edge cases.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "obs/metrics.hh"
+#include "obs/percentile.hh"
 #include "obs/trace.hh"
 #include "sweep/json.hh"
 
@@ -273,6 +275,39 @@ TEST(Trace, ValidTraceIdRejectsFileSystemMetacharacters)
     EXPECT_FALSE(obs::validTraceId("a b"));
     EXPECT_FALSE(obs::validTraceId(std::string(65, 'a')));
     EXPECT_TRUE(obs::validTraceId(std::string(64, 'a')));
+}
+
+// ---- Percentile -------------------------------------------------------------
+
+TEST(Percentile, EmptySampleReadsZero)
+{
+    EXPECT_EQ(obs::percentile({}, 0.0), 0.0);
+    EXPECT_EQ(obs::percentile({}, 50.0), 0.0);
+    EXPECT_EQ(obs::percentile({}, 100.0), 0.0);
+}
+
+TEST(Percentile, SingleValueIsEveryPercentile)
+{
+    for (double p : {0.0, 1.0, 50.0, 99.0, 100.0})
+        EXPECT_EQ(obs::percentile({7.0}, p), 7.0) << p;
+}
+
+TEST(Percentile, EndsAreMinimumAndMaximum)
+{
+    const std::vector<double> sorted = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+    EXPECT_EQ(obs::percentile(sorted, 0.0), 1.0);
+    EXPECT_EQ(obs::percentile(sorted, 100.0), 10.0);
+}
+
+TEST(Percentile, InclusiveNearestRank)
+{
+    // The smallest value with at least p% of the sample at or below it.
+    const std::vector<double> sorted = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+    EXPECT_EQ(obs::percentile(sorted, 10.0), 1.0);
+    EXPECT_EQ(obs::percentile(sorted, 11.0), 2.0);
+    EXPECT_EQ(obs::percentile(sorted, 50.0), 5.0);
+    EXPECT_EQ(obs::percentile(sorted, 90.0), 9.0);
+    EXPECT_EQ(obs::percentile(sorted, 99.0), 10.0);
 }
 
 } // namespace

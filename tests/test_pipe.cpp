@@ -1,10 +1,10 @@
 /**
  * @file
  * Pipeline-microscope tests: attaching a pipetrace must never disturb
- * the simulation (cycle identity across every registered policy pair
- * under both engines), every traced instruction must close (commit or
- * squash — the `smtpipe --check` gate, green on a real file and red on
- * a truncated one), the admission window and sample period must bound
+ * the simulation (cycle identity across every paper policy pair),
+ * every traced instruction must close (commit or squash — the
+ * `smtpipe --check` gate, green on a real file and red on a truncated
+ * one), the admission window and sample period must bound
  * what is emitted, the Chrome export's lanes must never overlap, and
  * the sweep outcome artifact must carry the sampled occupancy
  * histogram.
@@ -24,6 +24,7 @@
 #include "obs/pipe_analysis.hh"
 #include "obs/pipe_trace.hh"
 #include "obs/trace_analysis.hh"
+#include "policy_pairs.hh"
 #include "sim/simulator.hh"
 #include "sweep/runner.hh"
 #include "workload/mix.hh"
@@ -32,59 +33,6 @@ namespace smt
 {
 namespace
 {
-
-struct PolicyPair
-{
-    const char *fetch;
-    const char *issue;
-};
-
-/** Every (fetch, issue) pair the paper registers an engine for. */
-constexpr PolicyPair kRegisteredPairs[] = {
-    {"RR", "OLDEST_FIRST"},
-    {"BRCOUNT", "OLDEST_FIRST"},
-    {"MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OLDEST_FIRST"},
-    {"IQPOSN", "OLDEST_FIRST"},
-    {"ICOUNT+MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OPT_LAST"},
-    {"ICOUNT", "SPEC_LAST"},
-    {"ICOUNT", "BRANCH_FIRST"},
-};
-
-/** The stat fields a single divergent cycle anywhere would disturb. */
-struct StatKey
-{
-    std::uint64_t cycles, committed, fetched, fetchedWrongPath, issued,
-        issuedWrongPath, optimisticSquashes, mispredicts, dcacheMisses;
-
-    static StatKey
-    of(const SimStats &s)
-    {
-        return {s.cycles,
-                s.committedInstructions,
-                s.fetchedInstructions,
-                s.fetchedWrongPath,
-                s.issuedInstructions,
-                s.issuedWrongPath,
-                s.optimisticSquashes,
-                s.condBranchMispredicts,
-                s.dcache.misses};
-    }
-
-    bool
-    operator==(const StatKey &o) const
-    {
-        return cycles == o.cycles && committed == o.committed &&
-               fetched == o.fetched &&
-               fetchedWrongPath == o.fetchedWrongPath &&
-               issued == o.issued &&
-               issuedWrongPath == o.issuedWrongPath &&
-               optimisticSquashes == o.optimisticSquashes &&
-               mispredicts == o.mispredicts &&
-               dcacheMisses == o.dcacheMisses;
-    }
-};
 
 std::string
 tempPath(const char *name)
@@ -95,13 +43,11 @@ tempPath(const char *name)
 /** Run one traced simulation into `path` and return its stats. */
 SimStats
 tracedRun(const SmtConfig &cfg, const std::string &path,
-          const obs::PipeTraceOptions &opts,
-          CoreDispatch dispatch = CoreDispatch::Auto,
-          std::uint64_t cycles = 4000)
+          const obs::PipeTraceOptions &opts, std::uint64_t cycles = 4000)
 {
     obs::PipeTraceSink sink(path);
     obs::PipeTrace pipe(sink, opts);
-    Simulator sim(cfg, mixForRun(cfg.numThreads, 0), 0, dispatch);
+    Simulator sim(cfg, mixForRun(cfg.numThreads, 0), 0);
     sim.attachPipeTrace(&pipe);
     sim.run(cycles);
     pipe.finish();
@@ -119,7 +65,7 @@ analyzeFile(const std::string &path)
 
 // ---- Cycle identity: tracing must be a pure observer ----------------------
 
-TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairsBothEngines)
+TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairs)
 {
     const std::string path = tempPath("identity");
     obs::PipeTraceOptions topts;
@@ -127,25 +73,17 @@ TEST(PipeIdentity, TracedRunIsCycleIdenticalForAllPairsBothEngines)
     topts.windowLast = 600;
     topts.samplePeriod = 50;
 
-    for (const PolicyPair &pair : kRegisteredPairs) {
+    for (const PolicyPair &pair : kPaperPairs) {
         SmtConfig cfg = presets::baseSmt(4);
         cfg.fetchPolicyName = pair.fetch;
         cfg.issuePolicyName = pair.issue;
 
-        for (CoreDispatch dispatch :
-             {CoreDispatch::Auto, CoreDispatch::ForceGeneric}) {
-            Simulator plain(cfg, mixForRun(4, 0), 0, dispatch);
-            plain.run(4000);
+        Simulator plain(cfg, mixForRun(4, 0), 0);
+        plain.run(4000);
 
-            const SimStats traced =
-                tracedRun(cfg, path, topts, dispatch);
-            EXPECT_TRUE(StatKey::of(plain.stats()) == StatKey::of(traced))
-                << "pipetrace disturbed " << pair.fetch << "."
-                << pair.issue << " ("
-                << (dispatch == CoreDispatch::Auto ? "specialized"
-                                                   : "generic")
-                << ")";
-        }
+        const SimStats traced = tracedRun(cfg, path, topts);
+        EXPECT_EQ(StatKey::of(plain.stats()), StatKey::of(traced))
+            << "pipetrace disturbed " << pair.fetch << "." << pair.issue;
     }
     std::remove(path.c_str());
 }
@@ -253,8 +191,7 @@ TEST(PipeWindow, SamplePeriodZeroEmitsNoSamples)
     obs::PipeTraceOptions topts;
     topts.windowFirst = 0;
     topts.windowLast = 500;
-    tracedRun(presets::baseSmt(2), path, topts, CoreDispatch::Auto,
-              1500);
+    tracedRun(presets::baseSmt(2), path, topts, 1500);
     const obs::PipeAnalysis analysis = analyzeFile(path);
     ASSERT_EQ(analysis.streams.size(), 1u);
     EXPECT_TRUE(analysis.streams[0].samples.empty());

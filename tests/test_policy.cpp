@@ -3,17 +3,21 @@
  * Unit tests for the policy layer: the priority ordering each fetch
  * policy produces on a hand-built PipelineState, the candidate ordering
  * of each issue policy, registry resolution (including custom policy
- * registration through SmtConfig name overrides), and a golden-stats
- * regression pinning the refactored core to the pre-refactor cycle
- * behaviour on the RR and ICOUNT.2.8 machines.
+ * registration through SmtConfig name overrides and re-registration of
+ * a builtin name), and golden-stats regressions: RR and ICOUNT.2.8
+ * pinned to the pre-refactor cycle behaviour, and every paper policy
+ * pair pinned to the stats recorded before the single stage walk.
  */
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 
 #include "core/pipeline_state.hh"
+#include "policy/fetch_policies.hh"
 #include "policy/registry.hh"
+#include "policy_pairs.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -65,6 +69,104 @@ class PolicyStateTest : public ::testing::Test
     PipelineState state_;
     StaticInst alu_; // default IntAlu, no operands.
 };
+
+// ---- Golden stats of every paper policy pair ----------------------------------
+
+struct PairGolden
+{
+    PolicyPair pair;
+    StatKey stats;
+};
+
+/**
+ * Each paper pair on presets::baseSmt(4) with mixForRun(4, 0), seed
+ * salt 0, 6000 cycles. Recorded before the per-pair specialized core
+ * engines were folded into the single stage walk; the specialized and
+ * the virtual-dispatch engine both produced exactly these values.
+ */
+constexpr PairGolden kPairGoldens[] = {
+    {{"RR", "OLDEST_FIRST"},
+     {6000, 3228, 3693, 256, 4151, 97, 420, 12, 191}},
+    {{"BRCOUNT", "OLDEST_FIRST"},
+     {6000, 2997, 3548, 333, 3922, 137, 406, 13, 192}},
+    {{"MISSCOUNT", "OLDEST_FIRST"},
+     {6000, 3400, 3783, 232, 4273, 96, 410, 13, 189}},
+    {{"ICOUNT", "OLDEST_FIRST"},
+     {6000, 3080, 3615, 332, 4010, 152, 386, 13, 198}},
+    {{"IQPOSN", "OLDEST_FIRST"},
+     {6000, 3360, 3773, 261, 4271, 130, 415, 13, 190}},
+    {{"ICOUNT+MISSCOUNT", "OLDEST_FIRST"},
+     {6000, 3289, 3684, 236, 4183, 109, 398, 13, 189}},
+    {{"ICOUNT", "OPT_LAST"},
+     {6000, 3080, 3615, 332, 4021, 161, 379, 13, 202}},
+    {{"ICOUNT", "SPEC_LAST"},
+     {6000, 3080, 3635, 341, 4008, 157, 366, 13, 198}},
+    {{"ICOUNT", "BRANCH_FIRST"},
+     {6000, 3254, 3776, 348, 4182, 165, 376, 13, 209}},
+};
+
+/** The golden machine, running `pair`. */
+SmtConfig
+goldenConfig(const PolicyPair &pair)
+{
+    SmtConfig cfg = presets::baseSmt(4);
+    cfg.fetchPolicyName = pair.fetch;
+    cfg.issuePolicyName = pair.issue;
+    return cfg;
+}
+
+/** Run the golden budget and key the result. */
+StatKey
+runGolden(Simulator &sim)
+{
+    sim.run(6000);
+    sim.core().validateInvariants();
+    return StatKey::of(sim.stats());
+}
+
+TEST(GoldenStats, EveryPaperPolicyPairMatchesRecordedStats)
+{
+    ASSERT_EQ(std::size(kPairGoldens), std::size(kPaperPairs));
+    for (const PairGolden &g : kPairGoldens) {
+        Simulator sim(goldenConfig(g.pair), mixForRun(4, 0), 0);
+        EXPECT_EQ(runGolden(sim), g.stats)
+            << g.pair.fetch << "." << g.pair.issue;
+    }
+}
+
+// ---- Golden-stats regression ---------------------------------------------------
+
+/**
+ * Pre-refactor committed/fetched/issued counts of the monolithic core
+ * (seed 1, mixForRun, 20000 cycles), captured before SmtCore was split
+ * into stage modules. The stage-per-class core must stay cycle-exact.
+ */
+TEST(GoldenStats, RrBaseMachineMatchesPreRefactorCore)
+{
+    SmtConfig cfg = presets::baseSmt(4);
+    Simulator sim(cfg, mixForRun(4, 0));
+    sim.run(20000);
+    const SimStats &s = sim.stats();
+    EXPECT_EQ(s.committedInstructions, 33373u);
+    EXPECT_EQ(s.fetchedInstructions, 36046u);
+    EXPECT_EQ(s.issuedInstructions, 40476u);
+    EXPECT_EQ(s.condBranchMispredicts, 81u);
+    EXPECT_EQ(s.dcache.misses, 1293u);
+}
+
+TEST(GoldenStats, Icount28MatchesPreRefactorCore)
+{
+    SmtConfig cfg = presets::icount28(4);
+    Simulator sim(cfg, mixForRun(4, 0));
+    sim.run(20000);
+    const SimStats &s = sim.stats();
+    EXPECT_EQ(s.committedInstructions, 33173u);
+    EXPECT_EQ(s.fetchedInstructions, 35951u);
+    EXPECT_EQ(s.issuedInstructions, 39341u);
+    EXPECT_EQ(s.condBranchMispredicts, 88u);
+    EXPECT_EQ(s.dcache.misses, 1261u);
+    EXPECT_EQ(s.optimisticSquashes, 2467u);
+}
 
 // ---- Registry --------------------------------------------------------------
 
@@ -124,6 +226,25 @@ TEST(PolicyRegistry, CustomPolicyRunsASimulation)
     sim.run(3000);
     EXPECT_GT(sim.stats().committedInstructions, 500u);
     EXPECT_STREQ(sim.core().fetchPolicy().name(), "HIGHEST_TID");
+
+    // The same policy re-registered under a builtin name replaces the
+    // builtin for every core built afterwards. A core resolves its
+    // policies at construction, so the builtin is restored before any
+    // assertion can end the test early.
+    auto &reg = policy::PolicyRegistry::instance();
+    const PairGolden &icount = kPairGoldens[3];
+    ASSERT_STREQ(icount.pair.fetch, "ICOUNT");
+    ASSERT_STREQ(icount.pair.issue, "OLDEST_FIRST");
+    reg.registerFetchPolicy(
+        "ICOUNT", [] { return std::make_unique<HighestTidPolicy>(); });
+    Simulator replaced(goldenConfig(icount.pair), mixForRun(4, 0), 0);
+    reg.registerFetchPolicy(
+        "ICOUNT", [] { return std::make_unique<policy::ICountPolicy>(); });
+    Simulator restored(goldenConfig(icount.pair), mixForRun(4, 0), 0);
+
+    EXPECT_STREQ(replaced.core().fetchPolicy().name(), "HIGHEST_TID");
+    EXPECT_NE(runGolden(replaced), icount.stats);
+    EXPECT_EQ(runGolden(restored), icount.stats);
 }
 
 // ---- Fetch policies ----------------------------------------------------------
@@ -280,40 +401,6 @@ TEST_F(PolicyStateTest, OptLastDemotesUnverifiedLoadDependents)
     state_.intRegs.setUnverifiedUntil(40, 0);
     p->order(state_, cands);
     EXPECT_EQ(cands[0]->seq, 2u);
-}
-
-// ---- Golden-stats regression ---------------------------------------------------
-
-/**
- * Pre-refactor committed/fetched/issued counts of the monolithic core
- * (seed 1, mixForRun, 20000 cycles), captured before SmtCore was split
- * into stage modules. The stage-per-class core must stay cycle-exact.
- */
-TEST(GoldenStats, RrBaseMachineMatchesPreRefactorCore)
-{
-    SmtConfig cfg = presets::baseSmt(4);
-    Simulator sim(cfg, mixForRun(4, 0));
-    sim.run(20000);
-    const SimStats &s = sim.stats();
-    EXPECT_EQ(s.committedInstructions, 33373u);
-    EXPECT_EQ(s.fetchedInstructions, 36046u);
-    EXPECT_EQ(s.issuedInstructions, 40476u);
-    EXPECT_EQ(s.condBranchMispredicts, 81u);
-    EXPECT_EQ(s.dcache.misses, 1293u);
-}
-
-TEST(GoldenStats, Icount28MatchesPreRefactorCore)
-{
-    SmtConfig cfg = presets::icount28(4);
-    Simulator sim(cfg, mixForRun(4, 0));
-    sim.run(20000);
-    const SimStats &s = sim.stats();
-    EXPECT_EQ(s.committedInstructions, 33173u);
-    EXPECT_EQ(s.fetchedInstructions, 35951u);
-    EXPECT_EQ(s.issuedInstructions, 39341u);
-    EXPECT_EQ(s.condBranchMispredicts, 88u);
-    EXPECT_EQ(s.dcache.misses, 1261u);
-    EXPECT_EQ(s.optimisticSquashes, 2467u);
 }
 
 } // namespace

@@ -2,15 +2,12 @@
  * @file
  * Stall-accounting invariants: the per-cause counters added for the
  * observability work must form a closed ledger, not an approximation.
- * For every registered policy pair (under both the specialized and the
- * generic core engine):
+ * For every paper policy pair:
  *
  *  - fetch dispositions partition time: per thread, the five fetch
  *    outcome counters sum exactly to the run's cycle count (exactly
  *    one disposition is recorded per thread per cycle);
- *  - the human stall report's grand total equals totalStalledSlots();
- *  - the specialized and generic engines agree on every stall counter
- *    (cycle identity extends to the new accounting).
+ *  - the human stall report's grand total equals totalStalledSlots().
  *
  * An ideal machine (single thread, no misses, infinite FUs/registers/
  * bandwidth, perfect prediction) zeroes every *machine-loss* cause;
@@ -22,6 +19,7 @@
 #include <cstring>
 #include <string>
 
+#include "policy_pairs.hh"
 #include "sim/simulator.hh"
 #include "workload/mix.hh"
 
@@ -29,26 +27,6 @@ namespace smt
 {
 namespace
 {
-
-struct PolicyPair
-{
-    const char *fetch;
-    const char *issue;
-};
-
-/** Every (fetch, issue) pair the paper registers an engine for (kept
- *  in sync with test_engine.cpp's registry assertions). */
-constexpr PolicyPair kRegisteredPairs[] = {
-    {"RR", "OLDEST_FIRST"},
-    {"BRCOUNT", "OLDEST_FIRST"},
-    {"MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OLDEST_FIRST"},
-    {"IQPOSN", "OLDEST_FIRST"},
-    {"ICOUNT+MISSCOUNT", "OLDEST_FIRST"},
-    {"ICOUNT", "OPT_LAST"},
-    {"ICOUNT", "SPEC_LAST"},
-    {"ICOUNT", "BRANCH_FIRST"},
-};
 
 void
 checkLedger(const SimStats &stats, unsigned threads,
@@ -95,44 +73,17 @@ checkLedger(const SimStats &stats, unsigned threads,
         << report;
 }
 
-bool
-stallStatsEqual(const StallStats &a, const StallStats &b)
+TEST(StallAccounting, LedgerClosesForEveryPair)
 {
-    for (unsigned t = 0; t < kMaxThreads; ++t) {
-        if (a.fetchActive[t] != b.fetchActive[t]
-            || a.fetchIcacheMiss[t] != b.fetchIcacheMiss[t]
-            || a.fetchFrontEndFull[t] != b.fetchFrontEndFull[t]
-            || a.fetchNoTarget[t] != b.fetchNoTarget[t]
-            || a.fetchLostSelection[t] != b.fetchLostSelection[t]
-            || a.renameIQFull[t] != b.renameIQFull[t]
-            || a.renameNoRegisters[t] != b.renameNoRegisters[t]
-            || a.issueOperandWait[t] != b.issueOperandWait[t]
-            || a.issueFuBusy[t] != b.issueFuBusy[t])
-            return false;
-    }
-    return a.issueNoCandidatesCycles == b.issueNoCandidatesCycles;
-}
-
-TEST(StallAccounting, LedgerClosesForEveryPairUnderBothEngines)
-{
-    for (const PolicyPair &pair : kRegisteredPairs) {
+    for (const PolicyPair &pair : kPaperPairs) {
         SmtConfig cfg = presets::baseSmt(4);
         cfg.fetchPolicyName = pair.fetch;
         cfg.issuePolicyName = pair.issue;
-        const std::string what =
-            std::string(pair.fetch) + "." + pair.issue;
 
-        Simulator spec(cfg, mixForRun(4, 0), 0, CoreDispatch::Auto);
-        Simulator gen(cfg, mixForRun(4, 0), 0,
-                      CoreDispatch::ForceGeneric);
-        spec.run(6000);
-        gen.run(6000);
-
-        checkLedger(spec.stats(), 4, what + " (specialized)");
-        checkLedger(gen.stats(), 4, what + " (generic)");
-        EXPECT_TRUE(stallStatsEqual(spec.stats().stalls,
-                                    gen.stats().stalls))
-            << "stall accounting diverged between engines for " << what;
+        Simulator sim(cfg, mixForRun(4, 0), 0);
+        sim.run(6000);
+        checkLedger(sim.stats(), 4,
+                    std::string(pair.fetch) + "." + pair.issue);
     }
 }
 

@@ -36,6 +36,7 @@
 #include <optional>
 #include <string>
 
+#include "common/parse.hh"
 #include "net/http_server.hh"
 #include "sweep/remote_store.hh"
 #include "sweep/result_store.hh"
@@ -171,18 +172,10 @@ main(int argc, char **argv)
                 return usage(2);
             }
         }
-        else if (std::strcmp(arg, "--dispatch-threads") == 0) {
-            const char *value = next_arg(i);
-            char *end = nullptr;
-            dispatch_threads = std::strtoul(value, &end, 10);
-            if (end == value || *end != '\0' || dispatch_threads == 0) {
-                std::fprintf(stderr,
-                             "smtstore: --dispatch-threads needs a "
-                             "positive count, got \"%s\"\n",
-                             value);
-                return usage(2);
-            }
-        }
+        else if (std::strcmp(arg, "--dispatch-threads") == 0)
+            dispatch_threads = smt::parseCountOrExit(
+                "smtstore: --dispatch-threads", next_arg(i), 1,
+                smt::kMaxThreadCount);
         else if (std::strcmp(arg, "--access-log") == 0)
             access_log = next_arg(i);
         else if (std::strcmp(arg, "--ping") == 0)

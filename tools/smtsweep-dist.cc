@@ -30,6 +30,7 @@
 #include <memory>
 #include <string>
 
+#include "common/parse.hh"
 #include "dist/coordinator.hh"
 #include "obs/trace.hh"
 #include "sweep/experiments.hh"
@@ -147,19 +148,9 @@ main(int argc, char **argv)
         }
         return argv[++i];
     };
-    auto positive = [&](int &i) -> unsigned {
-        const char *flag = argv[i];
-        const char *value = next_arg(i);
-        const unsigned n =
-            static_cast<unsigned>(std::strtoul(value, nullptr, 10));
-        if (n < 1) {
-            std::fprintf(stderr,
-                         "smtsweep-dist: %s needs a positive count, "
-                         "got \"%s\"\n",
-                         flag, value);
-            std::exit(usage(2));
-        }
-        return n;
+    auto count = [&](int &i, std::uint64_t lo, std::uint64_t hi) {
+        const std::string what = std::string("smtsweep-dist: ") + argv[i];
+        return smt::parseCountOrExit(what.c_str(), next_arg(i), lo, hi);
     };
 
     for (int i = 1; i < argc; ++i) {
@@ -167,7 +158,8 @@ main(int argc, char **argv)
         if (std::strcmp(arg, "--experiment") == 0)
             experiment = next_arg(i);
         else if (std::strcmp(arg, "--shards") == 0)
-            opts.shards = positive(i);
+            opts.shards =
+                static_cast<unsigned>(count(i, 1, smt::kMaxThreadCount));
         else if (std::strcmp(arg, "--cache-dir") == 0
                  || std::strcmp(arg, "--store-url") == 0)
             opts.ropts.cacheDir = next_arg(i);
@@ -217,7 +209,8 @@ main(int argc, char **argv)
             }
         }
         else if (std::strcmp(arg, "--jobs") == 0)
-            opts.jobsPerWorker = positive(i);
+            opts.jobsPerWorker =
+                static_cast<unsigned>(count(i, 1, smt::kMaxThreadCount));
         else if (std::strcmp(arg, "--smtsweep") == 0)
             opts.smtsweepPath = next_arg(i);
         else if (std::strcmp(arg, "--hosts") == 0)
@@ -226,12 +219,13 @@ main(int argc, char **argv)
             json_path = next_arg(i);
         else if (std::strcmp(arg, "--cycles") == 0)
             opts.ropts.measure.cyclesPerRun =
-                std::strtoull(next_arg(i), nullptr, 10);
+                count(i, 1, smt::kMaxCycleCount);
         else if (std::strcmp(arg, "--warmup") == 0)
             opts.ropts.measure.warmupCycles =
-                std::strtoull(next_arg(i), nullptr, 10);
+                count(i, 0, smt::kMaxCycleCount);
         else if (std::strcmp(arg, "--runs") == 0)
-            opts.ropts.measure.runs = positive(i);
+            opts.ropts.measure.runs =
+                static_cast<unsigned>(count(i, 1, smt::kMaxRunCount));
         else if (std::strcmp(arg, "--serial") == 0)
             opts.ropts.measure.parallel = false;
         else if (std::strcmp(arg, "--trace-out") == 0)

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hh"
 #include "dist/shard.hh"
 #include "obs/trace.hh"
 #include "sim/simspeed.hh"
@@ -54,9 +55,6 @@ usage(int code)
         "                      default machine shapes; writes the\n"
         "                      smt-simspeed-v1 JSON to --json (default\n"
         "                      BENCH_simspeed.json)\n"
-        "  --force-generic     with --bench-simspeed: pin the\n"
-        "                      virtual-dispatch core engine (A/B\n"
-        "                      against the specialized engines)\n"
         "  --experiment NAME   experiment to run (repeatable)\n"
         "  --list              list every experiment and exit\n"
         "  --describe NAME     print an experiment's grid as JSON\n"
@@ -165,7 +163,6 @@ main(int argc, char **argv)
     unsigned shard_count = 0;
     bool list = false;
     bool bench_simspeed = false;
-    bool force_generic = false;
     bool stall_report = false;
     bool pipe_ab = false;
     std::string trace_out;
@@ -210,35 +207,17 @@ main(int argc, char **argv)
         else if (std::strcmp(arg, "--json") == 0)
             json_path = next_arg(i);
         else if (std::strcmp(arg, "--cycles") == 0)
-            ropts.measure.cyclesPerRun =
-                std::strtoull(next_arg(i), nullptr, 10);
+            ropts.measure.cyclesPerRun = smt::parseCountOrExit(
+                "smtsweep: --cycles", next_arg(i), 1, smt::kMaxCycleCount);
         else if (std::strcmp(arg, "--warmup") == 0)
-            ropts.measure.warmupCycles =
-                std::strtoull(next_arg(i), nullptr, 10);
-        else if (std::strcmp(arg, "--runs") == 0) {
-            const char *value = next_arg(i);
-            ropts.measure.runs = static_cast<unsigned>(
-                std::strtoul(value, nullptr, 10));
-            if (ropts.measure.runs < 1) {
-                std::fprintf(stderr,
-                             "smtsweep: --runs needs a positive count, "
-                             "got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        }
-        else if (std::strcmp(arg, "--jobs") == 0) {
-            const char *value = next_arg(i);
-            ropts.jobs = static_cast<unsigned>(
-                std::strtoul(value, nullptr, 10));
-            if (ropts.jobs < 1) {
-                std::fprintf(stderr,
-                             "smtsweep: --jobs needs a positive count, "
-                             "got \"%s\"\n",
-                             value);
-                return 2;
-            }
-        }
+            ropts.measure.warmupCycles = smt::parseCountOrExit(
+                "smtsweep: --warmup", next_arg(i), 0, smt::kMaxCycleCount);
+        else if (std::strcmp(arg, "--runs") == 0)
+            ropts.measure.runs = static_cast<unsigned>(smt::parseCountOrExit(
+                "smtsweep: --runs", next_arg(i), 1, smt::kMaxRunCount));
+        else if (std::strcmp(arg, "--jobs") == 0)
+            ropts.jobs = static_cast<unsigned>(smt::parseCountOrExit(
+                "smtsweep: --jobs", next_arg(i), 1, smt::kMaxThreadCount));
         else if (std::strcmp(arg, "--shard") == 0) {
             parseShardSpec(next_arg(i), wopts.index, shard_count);
             wopts.count = shard_count;
@@ -294,8 +273,9 @@ main(int argc, char **argv)
             }
         }
         else if (std::strcmp(arg, "--pipe-sample") == 0)
-            ropts.pipeOptions.samplePeriod =
-                std::strtoull(next_arg(i), nullptr, 10);
+            ropts.pipeOptions.samplePeriod = smt::parseCountOrExit(
+                "smtsweep: --pipe-sample", next_arg(i), 0,
+                smt::kMaxCycleCount);
         else if (std::strcmp(arg, "--pipe-ab") == 0)
             pipe_ab = true;
         else if (std::strcmp(arg, "--serial") == 0)
@@ -306,8 +286,6 @@ main(int argc, char **argv)
             list = true;
         else if (std::strcmp(arg, "--bench-simspeed") == 0)
             bench_simspeed = true;
-        else if (std::strcmp(arg, "--force-generic") == 0)
-            force_generic = true;
         else if (std::strcmp(arg, "--describe") == 0)
             describe.push_back(next_arg(i));
         else if (std::strcmp(arg, "--help") == 0
@@ -367,8 +345,6 @@ main(int argc, char **argv)
         sopts.warmupCycles = ropts.measure.warmupCycles;
         sopts.measureCycles = ropts.measure.cyclesPerRun;
         sopts.repeats = ropts.measure.runs;
-        if (force_generic)
-            sopts.dispatch = smt::CoreDispatch::ForceGeneric;
         sopts.pipeAb = pipe_ab;
         const auto results =
             smt::simspeed::measureAll(smt::simspeed::defaultShapes(),
